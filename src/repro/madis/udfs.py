@@ -3,12 +3,14 @@
 Spatial UDFs operate on WKT text (matching how geometry columns travel
 through the SQL layer) and are the target of Ontop-spatial's filter
 pushdown: a GeoSPARQL ``geof:sfIntersects`` becomes ``ST_INTERSECTS``
-in the generated SQL.
+in the generated SQL, behind an ``ST_MBR_INTERSECTS`` bounding-box
+prefilter that rejects most rows without parsing their WKT.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from datetime import timedelta
 from typing import TYPE_CHECKING
 
@@ -27,13 +29,55 @@ def _geom(wkt_text):
 
 
 def _binary_predicate(fn):
+    # Pushed-down SQL passes the same constant as *b* on every row;
+    # sqlite hands each call a fresh str, so the memo compares by value.
+    # One (text, geometry) tuple, read and replaced whole, so a call on
+    # another thread never pairs one text with another's geometry.
+    memo = (None, None)
+
     def impl(a, b):
-        ga, gb = _geom(a), _geom(b)
+        nonlocal memo
+        ga = _geom(a)
+        text, gb = memo
+        if b != text:
+            gb = _geom(b)
+            memo = (b, gb)
         if ga is None or gb is None:
             return None
         return int(fn(ga, gb))
 
     return impl
+
+
+#: ``POINT (x y)`` with plain decimal ordinates: the text the OPeNDAP
+#: virtual table writes. Anything else takes the WKT parser. At most
+#: 308 integer digits keep the float finite, as the parser requires.
+_PLAIN_POINT = re.compile(
+    r"POINT \((-?(?:[0-9]{1,308}(?:\.[0-9]*)?|\.[0-9]+)) "
+    r"(-?(?:[0-9]{1,308}(?:\.[0-9]*)?|\.[0-9]+))\)"
+)
+
+
+def st_mbr_intersects(a, minx, miny, maxx, maxy):
+    """1 unless *a*'s bounding box is provably disjoint from the given box.
+
+    The filter half of filter-verify: an exact predicate that implies
+    intersection runs only on rows this keeps. Edges count as meeting.
+    Malformed text raises as the exact predicate would; empty geometry
+    gives 1 and leaves the decision to the exact predicate.
+    """
+    if a is None:
+        return None
+    m = _PLAIN_POINT.fullmatch(a)
+    if m is not None:
+        x, y = m.groups()
+        x, y = float(x), float(y)
+        return int(minx <= x <= maxx and miny <= y <= maxy)
+    if a.rstrip().upper().endswith("EMPTY"):
+        return 1  # no box to test; the exact predicate decides (or raises)
+    gminx, gminy, gmaxx, gmaxy = wkt_loads(a).bounds
+    return int(gminx <= maxx and gmaxx >= minx
+               and gminy <= maxy and gmaxy >= miny)
 
 
 def st_point(lon, lat) -> str:
@@ -145,6 +189,7 @@ def register_default_udfs(conn: "MadisConnection") -> None:
         "ST_CROSSES", 2, _binary_predicate(geo_ops.crosses)
     )
     conn.register_function("ST_EQUALS", 2, _binary_predicate(geo_ops.equals))
+    conn.register_function("ST_MBR_INTERSECTS", 5, st_mbr_intersects)
     conn.register_function("ST_DISTANCE", 2, st_distance)
     conn.register_function("ST_AREA", 1, st_area)
     conn.register_function("ST_BUFFER", 2, st_buffer)

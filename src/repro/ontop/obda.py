@@ -8,11 +8,14 @@ MadIS virtual tables, non-relational) sources:
   the query's triple patterns against the mapping targets, executes the
   SQL of only the relevant mappings, instantiates just those assertions
   and evaluates the rest of the query in memory;
-- spatial filters against constant geometries are **pushed into SQL**:
-  an ``geof:sfWithin(?w, <const>)`` becomes an ``ST_WITHIN`` predicate,
-  and when the source is a plain table with a registered spatial index
-  the push-down adds an R*Tree bounding-box pre-filter — the "DBMS
-  optimizations ... taken into account" of Section 5.
+- spatial filters against constant geometries are **pushed into SQL**
+  as filter-verify: an ``geof:sfWithin(?w, <const>)`` becomes an exact
+  ``ST_WITHIN`` predicate behind a bounding-box filter. When the source
+  is a plain table with a registered spatial index the filter is an
+  R*Tree lookup — the "DBMS optimizations ... taken into account" of
+  Section 5; for any other source, such as a MadIS virtual table over
+  OPeNDAP, it is ``ST_MBR_INTERSECTS`` on the row's WKT, which rejects
+  most rows without parsing them.
 
 ``materialize()`` gives the full triple dump (what the paper calls the
 materialized workflow), so benchmarks can compare both modes.
@@ -20,10 +23,11 @@ materialized workflow), so benchmarks can compare both modes.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..geometry import Geometry, wkt_dumps
+from ..geometry import Geometry, wkt_dumps, wkt_loads
 from ..madis import MadisConnection
 from ..rdf import Graph
 from ..rdf.namespace import NamespaceManager
@@ -105,8 +109,6 @@ class OntopSpatial:
         rows = self.conn.execute(
             f'SELECT rowid, "{geom_column}" FROM "{table}"'
         )
-        from ..geometry import wkt_loads
-
         for row in rows:
             wkt = row[geom_column]
             if wkt is None:
@@ -641,8 +643,13 @@ class OntopSpatial:
 
     def _wrap_sql(self, base_sql: str, column: str, sql_fn: str,
                   const_wkt: str, geometry: Geometry) -> str:
-        """Add the spatial predicate, using an R*Tree bbox when possible."""
+        """Add the exact spatial predicate behind a bounding-box filter.
+
+        The filter is an R*Tree lookup when the table has a registered
+        spatial index, else ``ST_MBR_INTERSECTS`` on the row's WKT.
+        """
         escaped = const_wkt.replace("'", "''")
+        exact = f"{sql_fn}(\"{column}\", '{escaped}')"
         m = re.match(
             r"^\s*SELECT\s+(?P<cols>.+?)\s+FROM\s+(?P<table>[A-Za-z_]\w*)"
             r"(?:\s+WHERE\s+(?P<where>.+))?\s*$",
@@ -658,16 +665,26 @@ class OntopSpatial:
                     f"WHERE minx <= {maxx} AND maxx >= {minx} "
                     f"AND miny <= {maxy} AND maxy >= {miny})"
                 )
-                exact = f"{sql_fn}(\"{column}\", '{escaped}')"
                 existing = m.group("where")
                 clauses = [bbox, exact] + ([existing] if existing else [])
                 return (
                     f'SELECT {m.group("cols")} FROM "{table}" WHERE '
                     + " AND ".join(clauses)
                 )
+        if geometry.is_empty:
+            return f"SELECT * FROM ({base_sql}) WHERE {exact}"
+        # Filter-verify: every pushed relation implies that the two MBRs
+        # intersect, so the cheap box test runs first (sqlite evaluates
+        # AND left to right) and the exact predicate only on survivors.
+        # The box is that of the WKT the exact predicate parses, widened
+        # by one ulp: sqlite may read a float literal one ulp off.
+        bounds = wkt_loads(const_wkt).bounds
+        minx, miny = (math.nextafter(v, -math.inf) for v in bounds[:2])
+        maxx, maxy = (math.nextafter(v, math.inf) for v in bounds[2:])
         return (
             f"SELECT * FROM ({base_sql}) "
-            f"WHERE {sql_fn}(\"{column}\", '{escaped}')"
+            f"WHERE ST_MBR_INTERSECTS(\"{column}\", {minx!r}, {miny!r}, "
+            f"{maxx!r}, {maxy!r}) AND {exact}"
         )
 
 
