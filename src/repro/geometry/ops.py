@@ -195,7 +195,7 @@ def _primitive_intersects(a: Geometry, b: Geometry) -> bool:
 def _primitive_contains(a: Geometry, b: Geometry) -> bool:
     """Interior-and-boundary containment of primitive *b* inside *a*."""
     if isinstance(a, Point):
-        return isinstance(b, Point) and a.x == b.x and a.y == b.y
+        return isinstance(b, Point) and intersects(a, b)
     if isinstance(a, LineString):
         if isinstance(b, Point):
             return any(on_segment((b.x, b.y), s, e) for s, e in a.segments())

@@ -63,8 +63,7 @@ def st_mbr_intersects(a, minx, miny, maxx, maxy):
 
     The filter half of filter-verify: an exact predicate that implies
     intersection runs only on rows this keeps. Edges count as meeting.
-    Malformed text raises as the exact predicate would; empty geometry
-    gives 1 and leaves the decision to the exact predicate.
+    Malformed text raises as the exact predicate would.
     """
     if a is None:
         return None
@@ -73,8 +72,6 @@ def st_mbr_intersects(a, minx, miny, maxx, maxy):
         x, y = m.groups()
         x, y = float(x), float(y)
         return int(minx <= x <= maxx and miny <= y <= maxy)
-    if a.rstrip().upper().endswith("EMPTY"):
-        return 1  # no box to test; the exact predicate decides (or raises)
     gminx, gminy, gmaxx, gmaxy = wkt_loads(a).bounds
     return int(gminx <= maxx and gmaxx >= minx
                and gminy <= maxy and gmaxy >= miny)

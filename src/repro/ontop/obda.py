@@ -23,11 +23,11 @@ materialized workflow), so benchmarks can compare both modes.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..geometry import Geometry, wkt_dumps, wkt_loads
+from ..geometry import Geometry, wkt_dumps
+from ..geometry import ops as geo_ops
 from ..madis import MadisConnection
 from ..rdf import Graph
 from ..rdf.namespace import NamespaceManager
@@ -109,6 +109,8 @@ class OntopSpatial:
         rows = self.conn.execute(
             f'SELECT rowid, "{geom_column}" FROM "{table}"'
         )
+        from ..geometry import wkt_loads
+
         for row in rows:
             wkt = row[geom_column]
             if wkt is None:
@@ -671,16 +673,18 @@ class OntopSpatial:
                     f'SELECT {m.group("cols")} FROM "{table}" WHERE '
                     + " AND ".join(clauses)
                 )
-        if geometry.is_empty:
-            return f"SELECT * FROM ({base_sql}) WHERE {exact}"
         # Filter-verify: every pushed relation implies that the two MBRs
         # intersect, so the cheap box test runs first (sqlite evaluates
         # AND left to right) and the exact predicate only on survivors.
-        # The box is that of the WKT the exact predicate parses, widened
-        # by one ulp: sqlite may read a float literal one ulp off.
-        bounds = wkt_loads(const_wkt).bounds
-        minx, miny = (math.nextafter(v, -math.inf) for v in bounds[:2])
-        maxx, maxy = (math.nextafter(v, math.inf) for v in bounds[2:])
+        # The exact predicates count a point within ``geo_ops._EPS`` of an
+        # edge as on it, so the box is widened by twice that, scaled with
+        # |v| above 1 so the margin stays far wider than an ulp. It also
+        # covers the pushed WKT's rounding to 10 decimals and sqlite
+        # reading a float literal back one ulp off.
+        minx, miny, maxx, maxy = (
+            v + sign * 2 * geo_ops._EPS * max(1.0, abs(v))
+            for v, sign in zip(geometry.bounds, (-1, -1, 1, 1))
+        )
         return (
             f"SELECT * FROM ({base_sql}) "
             f"WHERE ST_MBR_INTERSECTS(\"{column}\", {minx!r}, {miny!r}, "

@@ -1,14 +1,15 @@
 """Every simple-features relation ends with a bool, points included.
 
 Point/point containment used to recurse through ``ops.equals`` until
-``RecursionError``; it is now a coordinate comparison at the leaf.
+``RecursionError``; the leaf now asks ``intersects``, so for points
+``equals``, ``within``, ``contains`` and ``intersects`` agree.
 """
 
 import itertools
 
 import pytest
 
-from repro.geometry import ops, wkt_loads
+from repro.geometry import Point, ops, wkt_loads
 from repro.madis import MadisConnection
 from repro.rdf import GEO, GEO_WKT_LITERAL, IRI, Literal
 from repro.strabon import StrabonStore
@@ -43,6 +44,15 @@ def test_point_equality(a, b, equal):
     ga, gb = wkt_loads(a), wkt_loads(b)
     assert ops.equals(ga, gb) is equal
     assert ops.equals(gb, ga) is equal
+
+
+@pytest.mark.parametrize("dx, same", [
+    (0.0, True), (5e-13, True), (5e-10, False), (1.0, False),
+])
+def test_point_relations_agree_near_equality(dx, same):
+    a, b = Point(1.0, 1.0), Point(1.0 + dx, 1.0)
+    for relation in ("equals", "within", "contains", "intersects"):
+        assert getattr(ops, relation)(a, b) is same, relation
 
 
 def test_sf_equals_on_point_literals_through_strabon():

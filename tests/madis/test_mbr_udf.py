@@ -36,9 +36,8 @@ def _mbr(conn, value, box=BOX):
                         (value, *box))[0]["hit"]
 
 
-def test_null_and_empty(conn):
+def test_null_gives_null(conn):
     assert _mbr(conn, None) is None
-    assert _mbr(conn, "POINT EMPTY") == 1
 
 
 @pytest.mark.parametrize("wkt, hit", [
@@ -73,7 +72,8 @@ def test_exponent_takes_the_fallback(parses):
 
 
 @pytest.mark.parametrize("wkt", ["POINT (nan 1)", "POINT (1_0 2)",
-                                 "POINT (%s 1)" % ("9" * 309)])
+                                 "POINT (%s 1)" % ("9" * 309),
+                                 "POINT EMPTY"])
 def test_malformed_points_raise_like_the_exact_predicate(conn, parses, wkt):
     within = _binary_predicate(geo_ops.within)
     with pytest.raises(Exception) as exact:

@@ -13,7 +13,7 @@ from datetime import date
 
 import pytest
 
-from repro.geometry import GeometryCollection, ops as geo_ops
+from repro.geometry import ops as geo_ops
 from repro.geometry import wkt_dumps, wkt_loads
 from repro.madis import MadisConnection
 from repro.madis.udfs import _binary_predicate
@@ -58,8 +58,9 @@ def _box(minx, miny, maxx, maxy):
 
 def _windows(cells, seed=7, n=6):
     """Seeded windows over the grid: edges on cell coordinates (as the
-    VT writes them), an edge that only the pushed WKT's rounding to 10
-    decimals puts on a cell, a zero-width box, a point, off-grid boxes."""
+    VT writes them), edges just off a cell (inside the exact predicates'
+    tolerance, and below the pushed WKT's 10 decimals), a zero-width
+    box, a point, off-grid boxes."""
     rng = random.Random(seed)
     xs = sorted({x for x, __ in cells})
     ys = sorted({y for __, y in cells})
@@ -68,7 +69,9 @@ def _windows(cells, seed=7, n=6):
         x0, x1 = sorted(rng.sample(xs, 2))
         y0, y1 = sorted(rng.sample(ys, 2))
         windows.append(_box(x0, y0, x1, y1))
-    windows.append(_box(x0 + 4e-11, y0, x1, y1))
+    for offset in (5e-10, 4e-11, 5e-13):
+        windows.append(_box(x0 + offset, y0 + offset,
+                            x1 - offset, y1 - offset))
     for __ in range(2):
         x0, x1 = sorted(rng.uniform(xs[0], xs[-1]) for __ in range(2))
         y0, y1 = sorted(rng.uniform(ys[0], ys[-1]) for __ in range(2))
@@ -77,7 +80,10 @@ def _windows(cells, seed=7, n=6):
     y0, y1 = sorted(rng.sample(ys, 2))
     # zero width (a ring needs three distinct vertices, so a segment)
     windows.append(f"LINESTRING ({x} {y0}, {x} {y1})")
-    windows.append("POINT (%r %r)" % rng.choice(cells))
+    cx, cy = rng.choice(cells)
+    windows.append("POINT (%r %r)" % (cx, cy))
+    for offset in (5e-10, 5e-13):
+        windows.append("POINT (%r %r)" % (cx + offset, cy - offset))
     return windows
 
 
@@ -159,7 +165,10 @@ def test_vt_branch_puts_the_prefilter_first(endpoint):
     assert where.index("ST_MBR_INTERSECTS") < where.index("ST_INTERSECTS(")
     bounds = where[len('ST_MBR_INTERSECTS("loc", '):where.index(")")]
     minx, miny, maxx, maxy = (float(v) for v in bounds.split(", "))
-    assert minx <= 2.2 <= minx + 1e-12 and maxy >= 48.9 >= maxy - 1e-12
+    # widened by at least twice the exact predicates' tolerance
+    margin = 2 * geo_ops._EPS
+    assert 2.2 - 1e-6 < minx <= 2.2 - margin
+    assert 48.9 + margin <= maxy < 48.9 + 1e-6
 
 
 def test_disjoint_is_never_pushed(endpoint):
@@ -176,16 +185,6 @@ def test_disjoint_is_never_pushed(endpoint):
     for sql in engine.last_sql:
         assert "ST_DISJOINT" not in sql
         assert "ST_MBR_INTERSECTS" not in sql
-
-
-def test_empty_constant_keeps_the_exact_only_sql():
-    engine = OntopSpatial(MadisConnection(), [])
-    empty = GeometryCollection([])
-    const = wkt_dumps(empty)
-    sql = engine._wrap_sql("SELECT * FROM (x)", "loc", "ST_WITHIN",
-                           const, empty)
-    assert sql == f"SELECT * FROM (SELECT * FROM (x)) " \
-                  f"WHERE ST_WITHIN(\"loc\", '{const}')"
 
 
 def test_rtree_branch_sql_is_unchanged():
